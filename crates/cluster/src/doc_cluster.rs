@@ -298,7 +298,7 @@ impl MongoCluster {
             for h in handles {
                 h.join().expect("shard insert thread panicked")?;
             }
-            Ok(())
+            Ok::<(), DocError>(())
         })?;
         Ok(total)
     }

@@ -35,104 +35,68 @@
 //! latency loses that frame for that follower (it stalls, exactly like
 //! a dropped packet); latency delivers after the delay.
 
+use polyframe_docstore::store::DocState;
 use polyframe_docstore::DocStore;
 use polyframe_observe::sync::Mutex;
 use polyframe_observe::{FaultKind, FaultPlan};
-use polyframe_sqlengine::Engine;
+use polyframe_sqlengine::{Database, Engine};
 use polyframe_storage::wal::{DurableOp, Wal, WalObserver};
+use polyframe_storage::{DurableCell, DurableState};
 use std::sync::Arc;
 
 /// A store that can serve as a shard leader or follower replica.
 ///
-/// Implemented by the SQL engine and the document store; both route
-/// shipped ops through their normal public mutation APIs, so a follower
-/// is a fully durable, independently queryable node — promotion is a
-/// pointer swap, not a rebuild.
+/// Implemented by the SQL engine and the document store by handing out
+/// their [`DurableCell`]: shipped ops commit through the same validate →
+/// log → apply → publish path as local writes, so a follower is a fully
+/// durable, independently queryable node — promotion is a pointer swap,
+/// not a rebuild.
 pub trait ReplicaNode: Send + Sync {
+    /// The node's durable state.
+    type State: DurableState;
+
+    /// The cell every shipped op commits through.
+    fn cell(&self) -> &DurableCell<Self::State>;
+
     /// Apply one shipped op through this node's own durable path.
     /// Shipped `Ingest` records are fully formed (ids already
     /// assigned), so replay is deterministic.
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String>;
+    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String> {
+        self.cell()
+            .commit(op.clone())
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+
     /// The node's WAL, when durability is enabled.
-    fn wal_handle(&self) -> Option<Arc<Wal>>;
+    fn wal_handle(&self) -> Option<Arc<Wal>> {
+        self.cell().wal()
+    }
+
     /// Wipe volatile state and rebuild it from the node's own log.
-    fn rebuild_from_log(&self) -> Result<(), String>;
+    fn rebuild_from_log(&self) -> Result<(), String> {
+        self.cell().recover().map(drop).map_err(|e| e.to_string())
+    }
+
     /// Atomically pin the node's compacted state and its log position.
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String>;
+    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String> {
+        self.cell().pinned_ops().map_err(|e| e.to_string())
+    }
 }
 
 impl ReplicaNode for Engine {
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String> {
-        match op {
-            DurableOp::Create {
-                namespace,
-                name,
-                key,
-            } => self
-                .create_dataset(namespace, name, key.as_deref())
-                .map_err(|e| e.to_string()),
-            DurableOp::Ingest {
-                namespace,
-                name,
-                records,
-            } => self
-                .load(namespace, name, records.clone())
-                .map_err(|e| e.to_string()),
-            DurableOp::Index {
-                namespace,
-                name,
-                attribute,
-            } => self
-                .create_index(namespace, name, attribute)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-        }
-    }
+    type State = Database;
 
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        Engine::wal_handle(self)
-    }
-
-    fn rebuild_from_log(&self) -> Result<(), String> {
-        self.recover().map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String> {
-        Engine::pinned_ops(self).map_err(|e| e.to_string())
+    fn cell(&self) -> &DurableCell<Database> {
+        self.durable_cell()
     }
 }
 
 impl ReplicaNode for DocStore {
-    fn apply_replicated(&self, op: &DurableOp) -> Result<(), String> {
-        match op {
-            DurableOp::Create { name, .. } => {
-                self.create_collection(name).map_err(|e| e.to_string())
-            }
-            // Shipped records carry their `_id`s, which `insert_many`
-            // preserves — the follower never re-assigns ids.
-            DurableOp::Ingest { name, records, .. } => self
-                .insert_many(name, records.iter().cloned())
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-            DurableOp::Index {
-                name, attribute, ..
-            } => self
-                .create_index(name, attribute)
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
-        }
-    }
+    type State = DocState;
 
-    fn wal_handle(&self) -> Option<Arc<Wal>> {
-        DocStore::wal_handle(self)
-    }
-
-    fn rebuild_from_log(&self) -> Result<(), String> {
-        self.recover().map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64), String> {
-        DocStore::pinned_ops(self).map_err(|e| e.to_string())
+    fn cell(&self) -> &DurableCell<DocState> {
+        self.durable_cell()
     }
 }
 

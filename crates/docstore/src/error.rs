@@ -1,5 +1,6 @@
 //! Document-store error type.
 
+use polyframe_storage::DurableError;
 use std::fmt;
 
 /// Errors produced by the document store.
@@ -38,6 +39,16 @@ impl fmt::Display for DocError {
 }
 
 impl std::error::Error for DocError {}
+
+impl From<DurableError> for DocError {
+    fn from(e: DurableError) -> DocError {
+        match e {
+            DurableError::Transient(m) => DocError::Transient(m),
+            DurableError::Corruption(m) => DocError::Corruption(m),
+            DurableError::NotDurable => DocError::Exec(e.to_string()),
+        }
+    }
+}
 
 impl DocError {
     /// Whether retrying the failed operation may succeed.

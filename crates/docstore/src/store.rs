@@ -7,16 +7,12 @@ use crate::pipeline::expr::Vars;
 use crate::pipeline::optimizer::{optimize, PhysicalPipeline};
 use crate::pipeline::{parse_pipeline, Stage};
 use polyframe_datamodel::{Record, Value};
-use polyframe_observe::sync::{Mutex, RwLock};
-use polyframe_observe::{
-    CacheStats, CatalogVersion, FaultKind, FaultPlan, SnapshotCell, Span, SpanTimer, VersionedCache,
-};
+use polyframe_observe::{CacheStats, FaultPlan, Span, SpanTimer, VersionedCache};
 use polyframe_storage::{
-    CheckpointPolicy, DurableOp, IndexKind, LogMedia, NullPolicy, RecoveryReport, Table,
-    TableOptions, Wal, WalError, WalStats,
+    CheckpointPolicy, DurableCell, DurableOp, DurableState, IndexKind, LogMedia, NullPolicy,
+    RecoveryReport, Table, TableOptions, Wal, WalStats,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,30 +35,158 @@ struct Compiled {
     plan_span: Span,
 }
 
+/// The document store's durable state: the collection map, the catalog
+/// version its plan cache keys on, and the largest `Int` `_id` ingested
+/// so far. This is what every write commits to and every read pins.
+#[derive(Clone, Default)]
+pub struct DocState {
+    collections: HashMap<String, Table>,
+    /// Bumped on every op: DDL, and inserts, which can change
+    /// `Index::is_complete` and with it the optimizer's index choices.
+    version: u64,
+    /// Auto-assigned `_id`s continue past this; advanced by every ingested
+    /// `Int` `_id`, so live writes, replay and replicas share one rule.
+    last_id: i64,
+}
+
+/// Advance the `_id` watermark past `doc`'s `Int` `_id`, if it has one.
+fn advance_last_id(last_id: &mut i64, doc: &Record) {
+    if let Some(Value::Int(id)) = doc.get("_id") {
+        *last_id = (*last_id).max(*id);
+    }
+}
+
+impl DocState {
+    /// Give every document without an `_id` the next one, in order, past
+    /// every `Int` `_id` ingested before it. `_id` leads the document,
+    /// like MongoDB's insertion rule.
+    fn assign_ids(&self, docs: Vec<Record>) -> Vec<Record> {
+        let mut last_id = self.last_id;
+        docs.into_iter()
+            .map(|doc| {
+                if doc.contains("_id") {
+                    advance_last_id(&mut last_id, &doc);
+                    return doc;
+                }
+                last_id = last_id.saturating_add(1);
+                let mut with_id = Record::with_capacity(doc.len() + 1);
+                with_id.insert("_id", last_id);
+                for (k, v) in doc.iter() {
+                    with_id.insert(k.to_string(), v.clone());
+                }
+                with_id
+            })
+            .collect()
+    }
+
+    fn table(&self, collection: &str) -> Result<&Table> {
+        self.collections
+            .get(collection)
+            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))
+    }
+}
+
+impl DurableState for DocState {
+    type Error = DocError;
+
+    fn validate(&self, op: &DurableOp) -> Result<()> {
+        match op {
+            DurableOp::Create { .. } => Ok(()),
+            DurableOp::Ingest { name, .. } | DurableOp::Index { name, .. } => {
+                self.table(name).map(drop)
+            }
+        }
+    }
+
+    fn apply(&mut self, op: DurableOp) -> Result<()> {
+        match op {
+            DurableOp::Create { name, .. } => {
+                self.collections.insert(
+                    name.clone(),
+                    Table::new(
+                        name,
+                        TableOptions {
+                            primary_key: Some("_id".to_string()),
+                            // Paper (section IV.E): "missing values are not
+                            // present in their indexes" for MongoDB.
+                            secondary_null_policy: NullPolicy::SkipNulls,
+                        },
+                    ),
+                );
+            }
+            DurableOp::Ingest { name, records, .. } => {
+                let table = self.collections.get_mut(&name).ok_or_else(|| {
+                    DocError::Corruption(format!("log ingests into unknown collection {name}"))
+                })?;
+                for doc in &records {
+                    advance_last_id(&mut self.last_id, doc);
+                }
+                table.insert_all(records);
+            }
+            DurableOp::Index {
+                name, attribute, ..
+            } => {
+                let table = self.collections.get_mut(&name).ok_or_else(|| {
+                    DocError::Corruption(format!("log indexes unknown collection {name}"))
+                })?;
+                table.create_index(&attribute);
+            }
+        }
+        self.version += 1;
+        Ok(())
+    }
+
+    /// Per collection (sorted by name) a `Create`, its secondary
+    /// `Index`es, and one `Ingest` of the heap in scan order — so replay
+    /// feeds every B+tree the same key sequence the original history did.
+    fn snapshot_ops(&self) -> Vec<DurableOp> {
+        let mut names: Vec<&String> = self.collections.keys().collect();
+        names.sort();
+        let mut ops = Vec::new();
+        for name in names {
+            let table = &self.collections[name];
+            ops.push(DurableOp::Create {
+                namespace: String::new(),
+                name: name.clone(),
+                key: None,
+            });
+            for ix in table
+                .indexes()
+                .iter()
+                .filter(|ix| ix.kind() == IndexKind::Secondary)
+            {
+                ops.push(DurableOp::Index {
+                    namespace: String::new(),
+                    name: name.clone(),
+                    attribute: ix.attribute().to_string(),
+                });
+            }
+            ops.push(DurableOp::Ingest {
+                namespace: String::new(),
+                name: name.clone(),
+                records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
+            });
+        }
+        ops
+    }
+
+    fn version_mut(&mut self) -> &mut u64 {
+        &mut self.version
+    }
+}
+
 /// A MongoDB-like document store.
 ///
-/// Writes mutate the master collection map under its write lock and then
-/// publish an immutable copy-on-write snapshot; reads pin the snapshot
-/// and never hold the lock across pipeline execution.
+/// The [`DocState`] lives in a [`DurableCell`]: writes commit through it
+/// and publish a copy-on-write snapshot; reads pin the snapshot and never
+/// hold the master lock across pipeline execution.
 pub struct DocStore {
-    collections: RwLock<HashMap<String, Table>>,
-    /// The committed-state snapshot readers run against; republished
-    /// after every master mutation.
-    published: SnapshotCell<HashMap<String, Table>>,
-    next_id: AtomicI64,
+    cell: DurableCell<DocState>,
     /// Ablation switch: disable index selection in the pipeline optimizer.
     use_indexes: bool,
-    /// Catalog version: bumped on DDL and inserts (inserts can change
-    /// `Index::is_complete`, which changes the optimizer's index choices).
-    /// Shared helper with the other substrates; crash recovery advances
-    /// it past the pre-crash value.
-    version: CatalogVersion,
-    /// Compiled pipelines keyed by `(collection, pipeline text)`.
+    /// Compiled pipelines keyed by `(collection, pipeline text)`, at the
+    /// catalog version of the snapshot they were planned on.
     plan_cache: VersionedCache<(String, String), CachedPipeline>,
-    /// Optional fault-injection plan consulted at `aggregate` entry points.
-    faults: Mutex<Option<Arc<FaultPlan>>>,
-    /// Optional write-ahead log (see [`DocStore::enable_durability`]).
-    wal: Mutex<Option<Arc<Wal>>>,
 }
 
 impl Default for DocStore {
@@ -75,14 +199,9 @@ impl DocStore {
     /// Empty store.
     pub fn new() -> DocStore {
         DocStore {
-            collections: RwLock::new(HashMap::new()),
-            published: SnapshotCell::new(HashMap::new()),
-            next_id: AtomicI64::new(1),
+            cell: DurableCell::new("docstore", DocState::default()),
             use_indexes: true,
-            version: CatalogVersion::new(),
             plan_cache: VersionedCache::new(PLAN_CACHE_CAPACITY),
-            faults: Mutex::new(None),
-            wal: Mutex::new(None),
         }
     }
 
@@ -91,92 +210,17 @@ impl DocStore {
     /// ([`DocStore::aggregate_stages`]) is exempt — the cluster layer
     /// injects at its own shard boundary instead.
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
-        *self.faults.lock() = plan.clone();
-        if let Some(wal) = self.wal() {
-            wal.set_faults(plan);
-        }
+        self.cell.set_fault_plan(plan);
     }
 
     /// The currently installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
-    }
-
-    /// Consult the fault plan before running a pipeline.
-    fn check_faults(&self) -> Result<()> {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "docstore";
-            match plan.next_fault(site) {
-                None => {}
-                Some(FaultKind::Error) => {
-                    return Err(DocError::Transient(format!("injected fault at {site}")))
-                }
-                Some(FaultKind::Latency(d)) => std::thread::sleep(d),
-                Some(FaultKind::Hang(d)) => {
-                    std::thread::sleep(d);
-                    return Err(DocError::Transient(format!("injected hang at {site}")));
-                }
-                Some(FaultKind::Crash) | Some(FaultKind::TornWrite(_)) => {
-                    return Err(self.simulate_query_crash(site));
-                }
-                Some(FaultKind::Panic) => panic!("injected panic at {site}"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Pin the current committed snapshot for a read (one `Arc` clone).
-    fn pinned(&self) -> Arc<HashMap<String, Table>> {
-        self.published.load()
-    }
-
-    /// Publish a fresh snapshot of the master map. Callers hold the
-    /// master write lock and call this only after the mutation (or its
-    /// recovery) committed — a torn state is never published.
-    fn publish_locked(&self, map: &HashMap<String, Table>) {
-        self.published.publish(map.clone());
+        self.cell.fault_plan()
     }
 
     /// Epoch of the most recent snapshot publication (0 = construction).
     pub fn snapshot_epoch(&self) -> u64 {
-        self.published.epoch()
-    }
-
-    /// Detect a master lock poisoned by a panic mid-write (an op
-    /// committed to the WAL but absent from memory) and rebuild through
-    /// the recovery path before serving anything.
-    fn heal_poisoned(&self) -> Result<()> {
-        if !self.collections.poisoned() {
-            return Ok(());
-        }
-        let mut map = self.collections.write();
-        if !self.collections.poisoned() {
-            return Ok(()); // another session healed while we waited
-        }
-        let wal = self.wal().ok_or_else(|| {
-            DocError::Corruption(
-                "store state torn by a panic mid-apply and no log is attached to rebuild from"
-                    .to_string(),
-            )
-        })?;
-        self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        Ok(())
-    }
-
-    /// The injected-panic point between the WAL append (the commit
-    /// point) and the in-memory apply — see `FaultPlan::panic_at`. Gated
-    /// on an armed target so plans that never aim here draw nothing.
-    fn apply_panic_point(&self) {
-        let plan = self.faults.lock().clone();
-        if let Some(plan) = plan {
-            let site = "docstore/apply";
-            if plan.has_target_at(site) && plan.next_fault(site) == Some(FaultKind::Panic) {
-                panic!("injected panic at {site}");
-            }
-        }
+        self.cell.epoch()
     }
 
     /// Empty store with index selection disabled (ablation benchmarks).
@@ -190,95 +234,45 @@ impl DocStore {
     /// Create (or replace) a collection. Every collection has a unique-`_id`
     /// primary index, like MongoDB.
     pub fn create_collection(&self, name: &str) -> Result<()> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Create {
+        self.cell
+            .commit(DurableOp::Create {
                 namespace: String::new(),
                 name: name.to_string(),
                 key: None,
-            },
-        );
-        // Publish on success AND failure: a failed apply may have
-        // crash-recovered the master in place, and that rebuilt state
-        // must become visible to readers.
-        self.publish_locked(&map);
-        result
-    }
-
-    /// Advance the catalog version, invalidating every cached plan.
-    fn bump_version(&self) {
-        self.version.bump();
+            })
+            .map(drop)
     }
 
     /// Insert documents, assigning `_id`s where absent. The durable log
     /// records the post-assignment documents, so replay reproduces the
-    /// same `_id`s without re-running the counter.
+    /// same `_id`s without re-running the assignment.
     pub fn insert_many(
         &self,
         collection: &str,
         docs: impl IntoIterator<Item = Record>,
     ) -> Result<usize> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        // Validate before logging so the op can never fail post-append.
-        if !map.contains_key(collection) {
-            return Err(DocError::UnknownCollection(collection.to_string()));
-        }
-        let docs: Vec<Record> = docs
-            .into_iter()
-            .map(|doc| {
-                if doc.contains("_id") {
-                    doc
-                } else {
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    // `_id` leads the document, like MongoDB's insertion rule.
-                    let mut with_id = Record::with_capacity(doc.len() + 1);
-                    with_id.insert("_id", id);
-                    for (k, v) in doc.iter() {
-                        with_id.insert(k.to_string(), v.clone());
-                    }
-                    with_id
-                }
-            })
-            .collect();
+        let docs: Vec<Record> = docs.into_iter().collect();
         let n = docs.len();
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Ingest {
-                namespace: String::new(),
-                name: collection.to_string(),
-                records: docs,
-            },
-        );
-        self.publish_locked(&map);
-        result?;
+        self.cell.commit_with(|state| DurableOp::Ingest {
+            namespace: String::new(),
+            name: collection.to_string(),
+            records: state.assign_ids(docs),
+        })?;
         Ok(n)
     }
 
     /// Create a secondary index.
     pub fn create_index(&self, collection: &str, attribute: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let mut map = self.collections.write();
-        if !map.contains_key(collection) {
-            return Err(DocError::UnknownCollection(collection.to_string()));
-        }
-        let result = self.durable_apply(
-            &mut map,
-            DurableOp::Index {
-                namespace: String::new(),
-                name: collection.to_string(),
-                attribute: attribute.to_string(),
-            },
-        );
-        self.publish_locked(&map);
-        result?;
-        let name = map
-            .get(collection)
-            .and_then(|t| t.index_on(attribute).map(|ix| ix.name().to_string()))
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-        Ok(name)
+        let state = self.cell.commit(DurableOp::Index {
+            namespace: String::new(),
+            name: collection.to_string(),
+            attribute: attribute.to_string(),
+        })?;
+        state
+            .table(collection)?
+            .index_on(attribute)
+            .map(|ix| ix.name().to_string())
+            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))
     }
 
     /// Attach a write-ahead log backed by `media` and recover whatever
@@ -289,189 +283,74 @@ impl DocStore {
         media: Arc<LogMedia>,
         policy: CheckpointPolicy,
     ) -> Result<RecoveryReport> {
-        let wal = Arc::new(Wal::new(media, "docstore", policy));
-        wal.set_faults(self.faults.lock().clone());
-        let mut map = self.collections.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        *self.wal.lock() = Some(wal);
-        Ok(report)
+        self.cell.enable(media, policy)
     }
 
     /// Whether a WAL is attached.
     pub fn durability_enabled(&self) -> bool {
-        self.wal.lock().is_some()
+        self.cell.wal().is_some()
     }
 
     /// WAL activity counters, when durability is enabled.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal().map(|w| w.stats())
+        self.cell.wal().map(|w| w.stats())
     }
 
     /// Wipe in-memory state and rebuild it from the attached log, as a
     /// restarted process would. Errors when durability is not enabled.
     pub fn recover(&self) -> Result<RecoveryReport> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| DocError::Exec("durability is not enabled".to_string()))?;
-        let mut map = self.collections.write();
-        let report = self.recover_locked(&mut map, &wal)?;
-        self.collections.clear_poison();
-        self.publish_locked(&map);
-        Ok(report)
+        self.cell.recover()
     }
 
     /// The compacted op list that rebuilds this store's current state
     /// from empty — what a checkpoint writes. Exposed so tests can
     /// assert two stores are byte-identical.
     pub fn durable_snapshot(&self) -> Vec<DurableOp> {
-        let _ = self.heal_poisoned();
-        snapshot_ops(&self.pinned())
+        self.cell.durable_snapshot()
     }
 
     /// The attached WAL, when durability is enabled. The replication
     /// layer installs its shipping observer and reads the committed
     /// tail through this handle.
     pub fn wal_handle(&self) -> Option<Arc<Wal>> {
-        self.wal()
+        self.cell.wal()
+    }
+
+    /// The durable cell holding this store's state; replication commits
+    /// shipped ops through it.
+    pub fn durable_cell(&self) -> &DurableCell<DocState> {
+        &self.cell
     }
 
     /// Atomically pin the current committed state and its log position:
     /// the compacted op list plus the LSN the next append will receive.
-    /// Taking the master read lock excludes writers, so the ops and the
-    /// pin always agree. Errors when durability is not enabled.
+    /// Errors when durability is not enabled.
     pub fn pinned_ops(&self) -> Result<(Vec<DurableOp>, u64)> {
-        let wal = self
-            .wal()
-            .ok_or_else(|| DocError::Exec("durability is not enabled".to_string()))?;
-        self.heal_poisoned()?;
-        let map = self.collections.read();
-        Ok((snapshot_ops(&map), wal.next_lsn()))
-    }
-
-    fn wal(&self) -> Option<Arc<Wal>> {
-        self.wal.lock().clone()
-    }
-
-    /// An injected `Crash` at the query site: the process "dies" and
-    /// restarts, rebuilding the store from its log before the caller's
-    /// retry arrives.
-    fn simulate_query_crash(&self, site: &str) -> DocError {
-        if let Some(wal) = self.wal() {
-            let mut map = self.collections.write();
-            if let Err(e) = self.recover_locked(&mut map, &wal) {
-                return e;
-            }
-            self.collections.clear_poison();
-            self.publish_locked(&map);
-        }
-        DocError::Transient(format!("process crashed at {site}; store recovered"))
-    }
-
-    /// Replace the collection map with the state recovered from `wal`'s
-    /// media. The catalog version advances strictly past its pre-crash
-    /// value (stale plan-cache entries must miss) and the `_id` counter
-    /// resumes past the largest recovered `_id`.
-    fn recover_locked(
-        &self,
-        map: &mut HashMap<String, Table>,
-        wal: &Wal,
-    ) -> Result<RecoveryReport> {
-        let pre_crash_version = self.version.current();
-        let (ops, report) = wal.recover().map_err(wal_err)?;
-        let mut fresh = HashMap::new();
-        for op in ops {
-            apply_op(&mut fresh, op)?;
-        }
-        let max_id = fresh
-            .values()
-            .flat_map(|t| t.heap().scan())
-            .filter_map(|(_, r)| match r.get("_id") {
-                Some(Value::Int(id)) => Some(*id),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        self.next_id
-            .store(max_id.saturating_add(1).max(1), Ordering::Release);
-        self.version.advance_past(pre_crash_version);
-        *map = fresh;
-        Ok(report)
-    }
-
-    /// Log `op` (when durability is on), apply it, and checkpoint when
-    /// due. An injected crash at any WAL site wipes the store, recovers
-    /// it from the log, and surfaces as a transient error.
-    fn durable_apply(&self, map: &mut HashMap<String, Table>, op: DurableOp) -> Result<()> {
-        if let Some(wal) = self.wal() {
-            if let Err(e) = wal.append(&op) {
-                return Err(self.crash_recover(map, &wal, e));
-            }
-        }
-        // The op is now committed (on the log, when one is attached) but
-        // not yet applied in memory; a panic here leaves the master map
-        // torn and its lock poisoned, which `heal_poisoned` repairs.
-        self.apply_panic_point();
-        apply_op(map, op)?;
-        self.bump_version();
-        if let Some(wal) = self.wal() {
-            if wal.checkpoint_due() {
-                let ops = snapshot_ops(map);
-                if let Err(e) = wal.checkpoint(&ops) {
-                    return Err(self.crash_recover(map, &wal, e));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Handle a WAL failure under the store's write lock: crashes
-    /// recover in place, corruption is surfaced as fatal.
-    fn crash_recover(
-        &self,
-        map: &mut HashMap<String, Table>,
-        wal: &Wal,
-        err: WalError,
-    ) -> DocError {
-        match err {
-            WalError::Crashed { site } => match self.recover_locked(map, wal) {
-                Ok(_) => DocError::Transient(format!(
-                    "process crashed at {site}; store recovered from log"
-                )),
-                Err(e) => e,
-            },
-            WalError::Corruption(m) => DocError::Corruption(m),
-        }
+        self.cell.pinned_ops()
     }
 
     /// O(1) metadata count — the fast path `aggregate` pipelines CANNOT use
     /// (the paper's expression-1 observation).
     pub fn count_documents(&self, collection: &str) -> Result<usize> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
-        let table = map
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
-        Ok(table.stats().record_count())
+        Ok(self.cell.pin()?.table(collection)?.stats().record_count())
     }
 
     /// Names of all collections.
     pub fn collection_names(&self) -> Vec<String> {
-        let _ = self.heal_poisoned();
-        self.pinned().keys().cloned().collect()
+        self.cell.snapshot().collections.keys().cloned().collect()
     }
 
-    /// The one text-compile path: probe the plan cache at the current
-    /// catalog version; on a miss, parse the pipeline and optimize its
-    /// body. Shared by `aggregate`, `aggregate_traced` and `explain`.
+    /// The one text-compile path: probe the plan cache at the catalog
+    /// version of the pinned `state`; on a miss, parse the pipeline and
+    /// optimize its body against that same state. Shared by `aggregate`,
+    /// `aggregate_traced` and `explain`.
     fn compiled(
         &self,
-        map: &HashMap<String, Table>,
+        state: &DocState,
         collection: &str,
         pipeline_json: &str,
     ) -> Result<Compiled> {
-        let version = self.version.current();
+        let version = state.version;
         let key = (collection.to_string(), pipeline_json.to_string());
         let probe_started = std::time::Instant::now();
         if let Some(plan) = self.plan_cache.get(&key, version) {
@@ -498,7 +377,7 @@ impl DocStore {
             Some((Stage::Out(_), rest)) => rest,
             _ => &stages[..],
         };
-        let phys = self.optimize_for(map, collection, body)?;
+        let phys = self.optimize_for(state, collection, body)?;
         let plan = self
             .plan_cache
             .insert(key, version, CachedPipeline { stages, body: phys });
@@ -512,16 +391,19 @@ impl DocStore {
 
     /// Run an aggregation pipeline given as JSON text.
     pub fn aggregate(&self, collection: &str, pipeline_json: &str) -> Result<Vec<Value>> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
         let (results, out_target) = {
-            let map = self.pinned();
-            let compiled = self.compiled(&map, collection, pipeline_json)?;
+            let state = self.cell.pin_query()?;
+            let compiled = self.compiled(&state, collection, pipeline_json)?;
             let out_target = match compiled.plan.stages.last() {
                 Some(Stage::Out(target)) => Some(target.clone()),
                 _ => None,
             };
-            let rows = run_pipeline(&map, collection, &compiled.plan.body, &Vars::new())?;
+            let rows = run_pipeline(
+                &state.collections,
+                collection,
+                &compiled.plan.body,
+                &Vars::new(),
+            )?;
             (rows, out_target)
         };
         if let Some(target) = out_target {
@@ -544,10 +426,9 @@ impl DocStore {
             _ => (stages, None),
         };
         let results = {
-            self.heal_poisoned()?;
-            let map = self.pinned();
-            let phys = self.optimize_for(&map, collection, stages)?;
-            run_pipeline(&map, collection, &phys, &Vars::new())?
+            let state = self.cell.pin()?;
+            let phys = self.optimize_for(&state, collection, stages)?;
+            run_pipeline(&state.collections, collection, &phys, &Vars::new())?
         };
         if let Some(target) = out_target {
             self.create_collection(&target)?;
@@ -570,18 +451,16 @@ impl DocStore {
         collection: &str,
         pipeline_json: &str,
     ) -> Result<(Vec<Value>, Span)> {
-        self.heal_poisoned()?;
-        self.check_faults()?;
         let started = std::time::Instant::now();
 
         let (rows, out_target, parse_span, plan_span, exec_span) = {
-            let map = self.pinned();
+            let state = self.cell.pin_query()?;
             let Compiled {
                 plan,
                 hit,
                 parse_span,
                 mut plan_span,
-            } = self.compiled(&map, collection, pipeline_json)?;
+            } = self.compiled(&state, collection, pipeline_json)?;
             let access_path = plan.body.describe();
             let index_used = access_path.contains("IXSCAN");
             plan_span.set_metric("index_used", i64::from(index_used));
@@ -591,9 +470,9 @@ impl DocStore {
             plan_span.set_metric("cache_lookup", 1);
 
             let mut exec_t = SpanTimer::start("exec");
-            let rows = run_pipeline(&map, collection, &plan.body, &Vars::new())?;
+            let rows = run_pipeline(&state.collections, collection, &plan.body, &Vars::new())?;
             if !index_used {
-                if let Some(table) = map.get(collection) {
+                if let Some(table) = state.collections.get(collection) {
                     exec_t
                         .span_mut()
                         .set_metric("docs_scanned", table.stats().record_count() as i64);
@@ -630,10 +509,9 @@ impl DocStore {
 
     /// EXPLAIN-style description of the access path chosen for a pipeline.
     pub fn explain(&self, collection: &str, pipeline_json: &str) -> Result<String> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
+        let state = self.cell.pin()?;
         Ok(self
-            .compiled(&map, collection, pipeline_json)?
+            .compiled(&state, collection, pipeline_json)?
             .plan
             .body
             .describe())
@@ -646,13 +524,11 @@ impl DocStore {
 
     fn optimize_for(
         &self,
-        map: &HashMap<String, Table>,
+        state: &DocState,
         collection: &str,
         stages: &[Stage],
     ) -> Result<PhysicalPipeline> {
-        let table = map
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
+        let table = state.table(collection)?;
         Ok(optimize(
             stages,
             &|attr| table.index_on(attr).map(|ix| ix.is_complete()),
@@ -668,11 +544,8 @@ impl DocStore {
         attribute: &str,
         key: &Value,
     ) -> Result<Vec<Record>> {
-        self.heal_poisoned()?;
-        let map = self.pinned();
-        let table = map
-            .get(collection)
-            .ok_or_else(|| DocError::UnknownCollection(collection.to_string()))?;
+        let state = self.cell.pin()?;
+        let table = state.table(collection)?;
         match table.index_on(attribute) {
             Some(ix) => Ok(ix
                 .lookup(key)
@@ -690,90 +563,6 @@ impl DocStore {
                 .collect()),
         }
     }
-}
-
-/// Map a WAL failure observed during recovery itself.
-fn wal_err(e: WalError) -> DocError {
-    match e {
-        WalError::Crashed { site } => {
-            DocError::Transient(format!("process crashed at {site} during recovery"))
-        }
-        WalError::Corruption(m) => DocError::Corruption(m),
-    }
-}
-
-/// Apply a logged op to the collection map. Ops were validated before
-/// they were logged, so a failure here means the log references state
-/// it never created — corruption, not a user error.
-fn apply_op(map: &mut HashMap<String, Table>, op: DurableOp) -> Result<()> {
-    match op {
-        DurableOp::Create { name, .. } => {
-            map.insert(
-                name.clone(),
-                Table::new(
-                    name,
-                    TableOptions {
-                        primary_key: Some("_id".to_string()),
-                        // Paper (section IV.E): "missing values are not
-                        // present in their indexes" for MongoDB.
-                        secondary_null_policy: NullPolicy::SkipNulls,
-                    },
-                ),
-            );
-        }
-        DurableOp::Ingest { name, records, .. } => {
-            let table = map.get_mut(&name).ok_or_else(|| {
-                DocError::Corruption(format!("log ingests into unknown collection {name}"))
-            })?;
-            table.insert_all(records);
-        }
-        DurableOp::Index {
-            name, attribute, ..
-        } => {
-            let table = map.get_mut(&name).ok_or_else(|| {
-                DocError::Corruption(format!("log indexes unknown collection {name}"))
-            })?;
-            table.create_index(&attribute);
-        }
-    }
-    Ok(())
-}
-
-/// The compacted op list that rebuilds `map` from empty: per collection
-/// (sorted by name) a `Create`, its secondary `Index`es, and one
-/// `Ingest` of the heap in scan order — so replay feeds every B+tree
-/// the same key sequence the original history did.
-fn snapshot_ops(map: &HashMap<String, Table>) -> Vec<DurableOp> {
-    let mut names: Vec<String> = map.keys().cloned().collect();
-    names.sort();
-    let mut ops = Vec::new();
-    for name in names {
-        let Some(table) = map.get(&name) else {
-            continue;
-        };
-        ops.push(DurableOp::Create {
-            namespace: String::new(),
-            name: name.clone(),
-            key: None,
-        });
-        for ix in table
-            .indexes()
-            .iter()
-            .filter(|ix| ix.kind() == IndexKind::Secondary)
-        {
-            ops.push(DurableOp::Index {
-                namespace: String::new(),
-                name: name.clone(),
-                attribute: ix.attribute().to_string(),
-            });
-        }
-        ops.push(DurableOp::Ingest {
-            namespace: String::new(),
-            name,
-            records: table.heap().scan().map(|(_, r)| r.clone()).collect(),
-        });
-    }
-    ops
 }
 
 #[cfg(test)]
@@ -983,6 +772,77 @@ mod tests {
             )
             .unwrap();
         assert!(explain.contains("IXSCAN eq(lang)"), "{explain}");
+    }
+
+    /// `_id`s of a collection, in heap order.
+    fn ids(store: &DocStore, collection: &str) -> Vec<Value> {
+        store
+            .aggregate(collection, r#"[{"$match":{}}]"#)
+            .unwrap()
+            .iter()
+            .map(|d| d.get_path("_id"))
+            .collect()
+    }
+
+    #[test]
+    fn plan_compiled_on_an_old_pin_is_keyed_at_that_pins_version() {
+        let store = DocStore::new();
+        store.create_collection("c").unwrap();
+        store
+            .insert_many("c", (0..5i64).map(|i| record! {"age" => i}))
+            .unwrap();
+        store.create_index("c", "age").unwrap();
+        let pipeline = r#"[{"$match":{}},{"$sort":{"age":1}},{"$limit":100}]"#;
+        // A reader pins the state while the age index is complete...
+        let pin = store.cell.pin().unwrap();
+        // ...a writer makes it incomplete (a document without `age`)...
+        store.insert_many("c", vec![record! {"x" => 1i64}]).unwrap();
+        // ...and the reader plans on its old pin: an index-ordered scan.
+        store.compiled(&pin, "c", pipeline).unwrap();
+        // Readers of the new state must not reuse that plan, which would
+        // drop the document the index does not hold.
+        assert_eq!(store.aggregate("c", pipeline).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn auto_ids_continue_past_explicit_ids() {
+        let store = DocStore::new();
+        store.create_collection("c").unwrap();
+        store
+            .insert_many("c", vec![record! {"_id" => 2i64}])
+            .unwrap();
+        store
+            .insert_many("c", vec![record! {"x" => 1i64}, record! {"x" => 2i64}])
+            .unwrap();
+        assert_eq!(
+            ids(&store, "c"),
+            vec![Value::Int(2), Value::Int(3), Value::Int(4)]
+        );
+    }
+
+    #[test]
+    fn auto_ids_do_not_depend_on_a_restart() {
+        let history = |restart: bool| {
+            let store = DocStore::new();
+            store
+                .enable_durability(LogMedia::new(), CheckpointPolicy::never())
+                .unwrap();
+            store.create_collection("c").unwrap();
+            store.insert_many("c", vec![record! {"x" => 0i64}]).unwrap();
+            store
+                .insert_many("c", vec![record! {"_id" => 100i64}])
+                .unwrap();
+            if restart {
+                store.recover().unwrap();
+            }
+            store.insert_many("c", vec![record! {"x" => 1i64}]).unwrap();
+            ids(&store, "c")
+        };
+        assert_eq!(history(false), history(true));
+        assert_eq!(
+            history(false),
+            vec![Value::Int(1), Value::Int(100), Value::Int(101)]
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Graph-store error type.
 
+use polyframe_storage::DurableError;
 use std::fmt;
 
 /// Errors produced by the graph store.
@@ -40,6 +41,16 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+impl From<DurableError> for GraphError {
+    fn from(e: DurableError) -> GraphError {
+        match e {
+            DurableError::Transient(m) => GraphError::Transient(m),
+            DurableError::Corruption(m) => GraphError::Corruption(m),
+            DurableError::NotDurable => GraphError::Exec(e.to_string()),
+        }
+    }
+}
 
 impl GraphError {
     /// Whether retrying the failed operation may succeed.

@@ -2,8 +2,7 @@
 //! "schemas" in PostgreSQL) containing tables.
 
 use crate::error::{EngineError, Result};
-use polyframe_observe::CatalogVersion;
-use polyframe_storage::{Table, TableOptions};
+use polyframe_storage::{NullPolicy, Table, TableOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -13,18 +12,20 @@ use std::sync::Arc;
 /// the engine publishes for concurrent readers after each committed
 /// write — is a shallow map copy, and [`Database::dataset_mut`] deep-
 /// copies only the one table being mutated (and only while an older
-/// snapshot still shares it). The catalog version freezes at its
-/// current value in the clone.
+/// snapshot still shares it). The catalog version is a plain field, so
+/// each snapshot carries the version it was published at.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: HashMap<(String, String), Arc<Table>>,
     /// Monotonic catalog version: bumped on DDL and bulk loads, consumed
     /// by the plan cache to invalidate entries compiled against an older
     /// catalog (a new index — or new data making an index incomplete —
-    /// changes which physical plan is correct). The shared
-    /// [`CatalogVersion`] helper is also used by the document and graph
-    /// stores, and crash recovery advances it past the pre-crash value.
-    version: CatalogVersion,
+    /// changes which physical plan is correct). Crash recovery advances
+    /// it past the pre-crash value.
+    version: u64,
+    /// Null policy of the secondary indexes of every dataset created here
+    /// (the engine's personality decides it).
+    secondary_null_policy: NullPolicy,
 }
 
 impl Database {
@@ -33,21 +34,33 @@ impl Database {
         Database::default()
     }
 
+    /// Empty database whose secondary indexes follow `policy`.
+    pub fn with_secondary_null_policy(policy: NullPolicy) -> Database {
+        Database {
+            secondary_null_policy: policy,
+            ..Database::default()
+        }
+    }
+
+    /// Null policy for secondary indexes of datasets created here.
+    pub(crate) fn secondary_null_policy(&self) -> NullPolicy {
+        self.secondary_null_policy
+    }
+
     /// Current catalog version.
     pub fn version(&self) -> u64 {
-        self.version.current()
+        self.version
+    }
+
+    /// Mutable catalog version (recovery moves it past the pre-crash
+    /// value).
+    pub(crate) fn version_mut(&mut self) -> &mut u64 {
+        &mut self.version
     }
 
     /// Advance the catalog version (callers: DDL and bulk-load paths).
-    pub fn bump_version(&self) {
-        self.version.bump();
-    }
-
-    /// Move the catalog version strictly past `seen` (recovery: `seen`
-    /// is the pre-crash version, so every plan cached before the crash
-    /// misses afterwards).
-    pub fn advance_version_past(&self, seen: u64) {
-        self.version.advance_past(seen);
+    pub fn bump_version(&mut self) {
+        self.version += 1;
     }
 
     /// Create a dataset. Replaces any existing dataset of the same name.
@@ -62,7 +75,7 @@ impl Database {
             key.clone(),
             Arc::new(Table::new(format!("{namespace}.{dataset}"), options)),
         );
-        self.version.bump();
+        self.version += 1;
         Arc::make_mut(self.tables.get_mut(&key).unwrap())
     }
 
@@ -105,7 +118,7 @@ impl Database {
         for table in self.tables.values_mut() {
             Arc::make_mut(table).rebuild_stats();
         }
-        self.version.bump();
+        self.version += 1;
     }
 
     /// Iterate `(namespace, dataset)` names.

@@ -1,5 +1,6 @@
 //! Engine error type.
 
+use polyframe_storage::DurableError;
 use std::fmt;
 
 /// Errors surfaced by the SQL/SQL++ engine.
@@ -68,6 +69,16 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<DurableError> for EngineError {
+    fn from(e: DurableError) -> EngineError {
+        match e {
+            DurableError::Transient(message) => EngineError::Transient { message },
+            DurableError::Corruption(message) => EngineError::Corruption { message },
+            DurableError::NotDurable => EngineError::exec(e.to_string()),
+        }
+    }
+}
 
 impl EngineError {
     /// Shorthand constructor for planning errors.

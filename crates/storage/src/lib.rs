@@ -21,6 +21,10 @@
 //! * [`codec`] — a lossless binary encoding of the data model, used by the
 //!   write-ahead log (the JSON printer is lossy for `Missing` and
 //!   non-finite doubles, so byte-identical recovery needs its own codec).
+//! * [`durable`] — [`DurableCell`], the one durable-store shell (master
+//!   state, published snapshot, WAL, faults, heal-on-entry, crash
+//!   recovery) every store runs inside, plugging in its
+//!   [`DurableState`] hooks.
 //! * [`wal`] — the durability layer: an append-only, CRC-checksummed,
 //!   length-prefixed write-ahead log with snapshot checkpoints, torn-tail
 //!   truncation, and deterministic crash/torn-write fault injection.
@@ -29,6 +33,8 @@ pub mod batch;
 pub mod btree;
 #[deny(clippy::unwrap_used)]
 pub mod codec;
+#[deny(clippy::unwrap_used)]
+pub mod durable;
 pub mod heap;
 pub mod index;
 pub mod stats;
@@ -40,6 +46,7 @@ pub use batch::{
     Column, ColumnBatch, ColumnSummary, Presence, DEFAULT_BATCH_ROWS, DICT_CAP, MAX_BATCH_ROWS,
 };
 pub use btree::{BPlusTree, Direction, KeyBound, ScanRange};
+pub use durable::{DurableCell, DurableError, DurableState};
 pub use heap::{RecordId, TableHeap};
 pub use index::{Index, IndexKind, NullPolicy};
 pub use stats::{AttributeStats, Histogram, NdvSketch, TableStats};

@@ -230,6 +230,77 @@ fn graph_store_without_a_log_refuses_to_serve_torn_state() {
     assert!(err.to_string().contains("torn by a panic"), "got: {err}");
 }
 
+// --- durable_snapshot heals on entry -----------------------------------
+
+/// `durable_snapshot()` as the *first* call after a mid-apply panic must
+/// heal too: it reports the state a fresh WAL replay rebuilds, including
+/// the batch committed to the log but never applied, on every store.
+#[test]
+fn durable_snapshot_heals_on_entry_on_every_store() {
+    let torn = |site: &str, write: &dyn Fn(), set_plan: &dyn Fn(Option<Arc<FaultPlan>>)| {
+        set_plan(Some(Arc::new(FaultPlan::panic_at(SEED, site, 0))));
+        assert_panics(AssertUnwindSafe(write));
+        set_plan(None);
+    };
+
+    let media = LogMedia::new();
+    let e = Engine::new(EngineConfig::asterixdb());
+    e.enable_durability(Arc::clone(&media), CheckpointPolicy::never())
+        .expect("enable durability");
+    e.create_dataset("Default", "T", Some("id")).expect("ddl");
+    torn(
+        "sqlengine/SqlPlusPlus/apply",
+        &|| {
+            let _ = e.load("Default", "T", rows(1..4));
+        },
+        &|p| e.set_fault_plan(p),
+    );
+    let healed = encode_ops(&e.durable_snapshot());
+    let replayed = Engine::new(EngineConfig::asterixdb());
+    replayed
+        .enable_durability(media, CheckpointPolicy::never())
+        .expect("replay");
+    assert_eq!(healed, encode_ops(&replayed.durable_snapshot()), "sql");
+
+    let media = LogMedia::new();
+    let d = DocStore::new();
+    d.enable_durability(Arc::clone(&media), CheckpointPolicy::never())
+        .expect("enable durability");
+    d.create_collection("users").expect("ddl");
+    torn(
+        "docstore/apply",
+        &|| {
+            let _ = d.insert_many("users", rows(1..4));
+        },
+        &|p| d.set_fault_plan(p),
+    );
+    let healed = encode_ops(&d.durable_snapshot());
+    let replayed = DocStore::new();
+    replayed
+        .enable_durability(media, CheckpointPolicy::never())
+        .expect("replay");
+    assert_eq!(healed, encode_ops(&replayed.durable_snapshot()), "doc");
+
+    let media = LogMedia::new();
+    let g = GraphStore::new();
+    g.enable_durability(Arc::clone(&media), CheckpointPolicy::never())
+        .expect("enable durability");
+    g.create_label("Person").expect("ddl");
+    torn(
+        "graphstore/apply",
+        &|| {
+            let _ = g.insert_nodes("Person", rows(1..4));
+        },
+        &|p| g.set_fault_plan(p),
+    );
+    let healed = encode_ops(&g.durable_snapshot());
+    let replayed = GraphStore::new();
+    replayed
+        .enable_durability(media, CheckpointPolicy::never())
+        .expect("replay");
+    assert_eq!(healed, encode_ops(&replayed.durable_snapshot()), "graph");
+}
+
 // --- Healing races ------------------------------------------------------
 
 /// Many sessions hitting a torn store concurrently: exactly one heals,
