@@ -569,6 +569,7 @@ impl DocStore {
 mod tests {
     use super::*;
     use polyframe_datamodel::record;
+    use polyframe_storage::{Direction, RecordId, ScanRange};
 
     fn users_store() -> DocStore {
         let store = DocStore::new();
@@ -850,5 +851,55 @@ mod tests {
         let store = DocStore::new();
         assert!(store.aggregate("nope", r#"[{"$match":{}}]"#).is_err());
         assert!(store.count_documents("nope").is_err());
+    }
+
+    fn index_entries(state: &DocState, direction: Direction) -> Vec<(Value, RecordId)> {
+        state
+            .table("Test.T")
+            .unwrap()
+            .index_on("k")
+            .unwrap()
+            .scan(&ScanRange::all(), direction)
+            .map(|(k, rid)| (k.clone(), rid))
+            .collect()
+    }
+
+    #[test]
+    fn pinned_snapshot_survives_chunk_and_root_splits() {
+        use polyframe_storage::chunked::CHUNK_LEN;
+        let media = LogMedia::new();
+        let store = DocStore::new();
+        store
+            .enable_durability(Arc::clone(&media), CheckpointPolicy::every(16))
+            .unwrap();
+        store.create_collection("Test.T").unwrap();
+        store.create_index("Test.T", "k").unwrap();
+        let doc = |i: i64| record! {"k" => i % 7, "s" => format!("s{i}")};
+        store.insert_many("Test.T", (0..20).map(doc)).unwrap();
+        let pinned = store.cell.pin().unwrap();
+        let ops = pinned.snapshot_ops();
+        let (fwd, bwd) = (
+            index_entries(&pinned, Direction::Forward),
+            index_entries(&pinned, Direction::Backward),
+        );
+        for i in 20..(CHUNK_LEN as i64 + 40) {
+            store.insert_many("Test.T", vec![doc(i)]).unwrap();
+        }
+        let now = store.cell.snapshot();
+        let table = now.table("Test.T").unwrap();
+        assert!(table.heap().num_slots() > CHUNK_LEN);
+        // A B+tree leaf holds at most 32 entries: past that the root split.
+        assert!(fwd.len() <= 32 && table.index_on("k").unwrap().len() > 32);
+        // The pinned snapshot is untouched.
+        assert_eq!(pinned.snapshot_ops(), ops);
+        assert_eq!(index_entries(&pinned, Direction::Forward), fwd);
+        assert_eq!(index_entries(&pinned, Direction::Backward), bwd);
+        assert_eq!(pinned.table("Test.T").unwrap().len(), 20);
+        // The live state is what a fresh replay of the log rebuilds.
+        let replay = DocStore::new();
+        replay
+            .enable_durability(media, CheckpointPolicy::every(16))
+            .unwrap();
+        assert_eq!(replay.durable_snapshot(), store.durable_snapshot());
     }
 }

@@ -6,9 +6,10 @@ use crate::error::{GraphError, Result};
 use polyframe_datamodel::{Record, Value};
 use polyframe_observe::{CacheStats, FaultPlan, Span, SpanTimer, VersionedCache};
 use polyframe_storage::{
-    CheckpointPolicy, DurableCell, DurableOp, DurableState, LogMedia, RecoveryReport, WalStats,
+    CheckpointPolicy, ChunkedVec, DurableCell, DurableOp, DurableState, LogMedia, RecoveryReport,
+    WalStats,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 pub(crate) use polyframe_storage::{BPlusTree, Direction, ScanRange};
@@ -33,16 +34,21 @@ pub enum InlineProp {
 /// A node's property record: `(property-name id, inline value)` pairs.
 pub type NodeRecord = Vec<(u16, InlineProp)>;
 
+/// Most property names one label can hold: ids are `u16`.
+const MAX_PROPS: usize = u16::MAX as usize + 1;
+
 /// Per-label storage.
 ///
-/// `Clone` deep-copies the records, string store and indexes — the unit
-/// of the copy-on-write snapshot [`GraphStore`] publishes for readers.
+/// `Clone` — the copy-on-write snapshot [`GraphStore`] publishes for
+/// readers — shares the node and string stores' sealed chunks and the
+/// index trees; only the property-name table is copied. A write after a
+/// clone copies one tail chunk per store and one path per index.
 #[derive(Clone)]
 pub struct LabelStore {
     prop_names: Vec<String>,
     name_ids: HashMap<String, u16>,
-    nodes: Vec<NodeRecord>,
-    strings: Vec<String>,
+    nodes: ChunkedVec<NodeRecord>,
+    strings: ChunkedVec<String>,
     indexes: HashMap<String, BPlusTree>,
 }
 
@@ -51,8 +57,8 @@ impl LabelStore {
         LabelStore {
             prop_names: Vec::new(),
             name_ids: HashMap::new(),
-            nodes: Vec::new(),
-            strings: Vec::new(),
+            nodes: ChunkedVec::new(),
+            strings: ChunkedVec::new(),
             indexes: HashMap::new(),
         }
     }
@@ -62,55 +68,70 @@ impl LabelStore {
         self.nodes.len()
     }
 
-    fn prop_id(&mut self, name: &str) -> u16 {
+    fn prop_id(&mut self, name: &str) -> Result<u16> {
         if let Some(id) = self.name_ids.get(name) {
-            return *id;
+            return Ok(*id);
         }
-        let id = self.prop_names.len() as u16;
+        let id = u16::try_from(self.prop_names.len()).map_err(|_| too_many_props(name))?;
         self.prop_names.push(name.to_string());
         self.name_ids.insert(name.to_string(), id);
-        id
+        Ok(id)
     }
 
-    fn insert(&mut self, record: Record) -> Result<usize> {
-        let mut node: NodeRecord = Vec::with_capacity(record.len());
-        for (name, value) in record.iter() {
-            let inline = match value {
-                Value::Int(i) => InlineProp::Int(*i),
-                Value::Double(d) => InlineProp::Double(*d),
-                Value::Bool(b) => InlineProp::Bool(*b),
-                Value::Str(s) => {
-                    let ptr = self.strings.len() as u32;
-                    self.strings.push(s.clone());
-                    InlineProp::StrRef(ptr)
-                }
-                Value::Null => InlineProp::Null,
-                // Absent fields simply do not produce a property.
-                Value::Missing => continue,
-                other => {
-                    return Err(GraphError::UnsupportedProperty(format!(
-                        "{name}: {} (Neo4j properties are scalars)",
-                        other.type_name()
-                    )))
-                }
-            };
-            let id = self.prop_id(name);
-            node.push((id, inline));
+    /// Append one node per record. All node records are built before any
+    /// string is copied into the string store, so a bulk ingest lays both
+    /// stores out in scan order in memory — label scans walk the nodes
+    /// in order, and interleaving each node with its string copies made
+    /// them measurably slower.
+    fn insert_all(&mut self, records: &[Record]) -> Result<()> {
+        let mut new_strings: Vec<&str> = Vec::new();
+        let mut new_nodes: Vec<NodeRecord> = Vec::with_capacity(records.len());
+        for record in records {
+            let mut node: NodeRecord = Vec::with_capacity(record.len());
+            for (name, value) in record.iter() {
+                let inline = match value {
+                    Value::Int(i) => InlineProp::Int(*i),
+                    Value::Double(d) => InlineProp::Double(*d),
+                    Value::Bool(b) => InlineProp::Bool(*b),
+                    Value::Str(s) => {
+                        let ptr = (self.strings.len() + new_strings.len()) as u32;
+                        new_strings.push(s);
+                        InlineProp::StrRef(ptr)
+                    }
+                    Value::Null => InlineProp::Null,
+                    // Absent fields simply do not produce a property.
+                    Value::Missing => continue,
+                    other => {
+                        return Err(GraphError::UnsupportedProperty(format!(
+                            "{name}: {} (Neo4j properties are scalars)",
+                            other.type_name()
+                        )))
+                    }
+                };
+                let id = self.prop_id(name)?;
+                node.push((id, inline));
+            }
+            new_nodes.push(node);
         }
-        let idx = self.nodes.len();
-        // Maintain indexes.
-        for (prop, tree) in self.indexes.iter_mut() {
-            if let Some(id) = self.name_ids.get(prop) {
-                if let Some((_, inline)) = node.iter().find(|(pid, _)| pid == id) {
-                    let key = inline_to_value(*inline, &self.strings);
-                    if !key.is_unknown() {
-                        tree.insert(key, idx as u64);
+        for s in new_strings {
+            self.strings.push(s.to_string());
+        }
+        for node in new_nodes {
+            let idx = self.nodes.len();
+            // Maintain indexes.
+            for (prop, tree) in self.indexes.iter_mut() {
+                if let Some(id) = self.name_ids.get(prop) {
+                    if let Some((_, inline)) = node.iter().find(|(pid, _)| pid == id) {
+                        let key = inline_to_value(*inline, &self.strings);
+                        if !key.is_unknown() {
+                            tree.insert(key, idx as u64);
+                        }
                     }
                 }
             }
+            self.nodes.push(node);
         }
-        self.nodes.push(node);
-        Ok(idx)
+        Ok(())
     }
 
     fn create_index(&mut self, prop: &str) {
@@ -195,7 +216,7 @@ impl LabelStore {
     }
 }
 
-fn inline_to_value(p: InlineProp, strings: &[String]) -> Value {
+fn inline_to_value(p: InlineProp, strings: &ChunkedVec<String>) -> Value {
     match p {
         InlineProp::Int(i) => Value::Int(i),
         InlineProp::Double(d) => Value::Double(d),
@@ -205,8 +226,14 @@ fn inline_to_value(p: InlineProp, strings: &[String]) -> Value {
     }
 }
 
+fn too_many_props(name: &str) -> GraphError {
+    GraphError::UnsupportedProperty(format!(
+        "{name}: a label holds at most {MAX_PROPS} property names"
+    ))
+}
+
 /// Pre-append validation: every property must be a scalar (or absent),
-/// mirroring the checks [`LabelStore::insert`] performs, so a logged
+/// mirroring the checks [`LabelStore::insert_all`] performs, so a logged
 /// ingest can never fail when applied.
 fn validate_node(record: &Record) -> Result<()> {
     for (name, value) in record.iter() {
@@ -228,6 +255,28 @@ fn validate_node(record: &Record) -> Result<()> {
     Ok(())
 }
 
+/// Pre-append validation: the ingest must not register more property
+/// names than `u16` ids can address ([`MAX_PROPS`] per label), or ids
+/// would wrap and alias earlier names.
+fn validate_prop_names(label: Option<&LabelStore>, records: &[Record]) -> Result<()> {
+    let known = label.map_or(0, |l| l.prop_names.len());
+    let mut fresh: HashSet<&str> = HashSet::new();
+    for record in records {
+        for (name, value) in record.iter() {
+            // Absent fields register no name (see `LabelStore::insert_all`).
+            if matches!(value, Value::Missing)
+                || label.is_some_and(|l| l.name_ids.contains_key(name))
+            {
+                continue;
+            }
+            if fresh.insert(name) && known + fresh.len() > MAX_PROPS {
+                return Err(too_many_props(name));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The graph store's durable state: the label map plus the catalog
 /// version its plan cache keys on. This is what every write commits to
 /// and every read pins.
@@ -241,12 +290,15 @@ pub(crate) struct GraphState {
 impl DurableState for GraphState {
     type Error = GraphError;
 
-    /// `LabelStore::insert` rejects non-scalar properties; index DDL
+    /// `LabelStore::insert_all` rejects non-scalar properties; index DDL
     /// needs its label. Ingest creates its label implicitly.
     fn validate(&self, op: &DurableOp) -> Result<()> {
         match op {
             DurableOp::Create { .. } => Ok(()),
-            DurableOp::Ingest { records, .. } => records.iter().try_for_each(validate_node),
+            DurableOp::Ingest { name, records, .. } => {
+                records.iter().try_for_each(validate_node)?;
+                validate_prop_names(self.labels.get(name), records)
+            }
             DurableOp::Index { name, .. } if !self.labels.contains_key(name) => {
                 Err(GraphError::UnknownLabel(name.clone()))
             }
@@ -264,11 +316,9 @@ impl DurableState for GraphState {
                     .labels
                     .entry(name.clone())
                     .or_insert_with(LabelStore::new);
-                for rec in records {
-                    store.insert(rec).map_err(|e| {
-                        GraphError::Corruption(format!("replaying {name} ingest: {e}"))
-                    })?;
-                }
+                store
+                    .insert_all(&records)
+                    .map_err(|e| GraphError::Corruption(format!("replaying {name} ingest: {e}")))?;
             }
             DurableOp::Index {
                 name, attribute, ..
@@ -621,5 +671,103 @@ mod tests {
         let g = GraphStore::new();
         assert!(g.count_nodes("nope").is_err());
         assert!(g.create_index("nope", "a").is_err());
+    }
+
+    fn one_prop(name: String, value: i64) -> Record {
+        let mut r = Record::new();
+        r.insert(name, value);
+        r
+    }
+
+    #[test]
+    fn property_ids_never_wrap() {
+        let g = GraphStore::new();
+        // One name past the u16 id space, in a single op on a new label:
+        // rejected before it is logged, and the label is not created.
+        let err = g
+            .insert_nodes(
+                "Wide",
+                (0..=MAX_PROPS).map(|i| one_prop(format!("p{i}"), i as i64)),
+            )
+            .unwrap_err();
+        assert!(matches!(err, GraphError::UnsupportedProperty(_)), "{err}");
+        assert!(g.count_nodes("Wide").is_err());
+        // Exactly the id space fits, and every name keeps its own id.
+        g.insert_nodes(
+            "Wide",
+            (0..MAX_PROPS).map(|i| one_prop(format!("p{i}"), i as i64)),
+        )
+        .unwrap();
+        let before = g.durable_snapshot();
+        let err = g
+            .insert_nodes(
+                "Wide",
+                vec![one_prop("p0".into(), -1), one_prop("extra".into(), -2)],
+            )
+            .unwrap_err();
+        assert!(matches!(err, GraphError::UnsupportedProperty(_)), "{err}");
+        assert_eq!(g.durable_snapshot(), before);
+        // Names the label already holds are still accepted.
+        g.insert_nodes("Wide", vec![one_prop(format!("p{}", MAX_PROPS - 1), -3)])
+            .unwrap();
+        let state = g.cell.snapshot();
+        let store = &state.labels["Wide"];
+        let last = MAX_PROPS - 1;
+        assert_eq!(
+            store.prop_value(last, &format!("p{last}")),
+            Value::Int(last as i64)
+        );
+        assert_eq!(store.prop_value(0, "p0"), Value::Int(0));
+        assert_eq!(store.materialize(MAX_PROPS).len(), 1);
+        assert_eq!(
+            store.prop_value(MAX_PROPS, &format!("p{last}")),
+            Value::Int(-3)
+        );
+    }
+
+    fn all_keys(tree: &BPlusTree, direction: Direction) -> Vec<(Value, u64)> {
+        tree.scan(&ScanRange::all(), direction)
+            .map(|(k, p)| (k.clone(), p))
+            .collect()
+    }
+
+    #[test]
+    fn pinned_snapshot_survives_chunk_and_root_splits() {
+        use polyframe_storage::chunked::CHUNK_LEN;
+        let media = LogMedia::new();
+        let g = GraphStore::new();
+        g.enable_durability(Arc::clone(&media), CheckpointPolicy::every(16))
+            .unwrap();
+        g.create_label("L").unwrap();
+        g.create_index("L", "k").unwrap();
+        let node = |i: i64| record! {"k" => i % 7, "s" => format!("s{i}")};
+        g.insert_nodes("L", (0..20).map(node)).unwrap();
+        let pinned = g.cell.pin().unwrap();
+        let ops = pinned.snapshot_ops();
+        let tree = &pinned.labels["L"].indexes["k"];
+        assert_eq!(tree.height(), 1);
+        let (fwd, bwd) = (
+            all_keys(tree, Direction::Forward),
+            all_keys(tree, Direction::Backward),
+        );
+        let threes = pinned.labels["L"].index_lookup("k", &Value::Int(3));
+        for i in 20..(CHUNK_LEN as i64 + 40) {
+            g.insert_nodes("L", vec![node(i)]).unwrap();
+        }
+        let now = g.cell.snapshot();
+        assert!(now.labels["L"].count() > CHUNK_LEN);
+        assert!(now.labels["L"].indexes["k"].height() > 1);
+        // The pinned snapshot is untouched.
+        assert_eq!(pinned.snapshot_ops(), ops);
+        assert_eq!(all_keys(tree, Direction::Forward), fwd);
+        assert_eq!(all_keys(tree, Direction::Backward), bwd);
+        assert_eq!(pinned.labels["L"].index_lookup("k", &Value::Int(3)), threes);
+        assert_eq!(pinned.labels["L"].count(), 20);
+        // The live state is what a fresh replay of the log rebuilds.
+        let replay = GraphStore::new();
+        replay
+            .enable_durability(media, CheckpointPolicy::every(16))
+            .unwrap();
+        assert_eq!(replay.durable_snapshot(), g.durable_snapshot());
     }
 }

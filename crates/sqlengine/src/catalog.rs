@@ -4,19 +4,17 @@
 use crate::error::{EngineError, Result};
 use polyframe_storage::{NullPolicy, Table, TableOptions};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// All data managed by one engine instance.
 ///
-/// Tables are held behind `Arc` so `Clone` — the copy-on-write snapshot
-/// the engine publishes for concurrent readers after each committed
-/// write — is a shallow map copy, and [`Database::dataset_mut`] deep-
-/// copies only the one table being mutated (and only while an older
-/// snapshot still shares it). The catalog version is a plain field, so
-/// each snapshot carries the version it was published at.
+/// `Clone` is the copy-on-write snapshot the engine publishes for
+/// concurrent readers after each committed write; [`Table`]'s own clone
+/// shares its heap chunks and index trees, so it costs O(delta), not
+/// O(table). The catalog version is a plain field, so each snapshot
+/// carries the version it was published at.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: HashMap<(String, String), Arc<Table>>,
+    tables: HashMap<(String, String), Table>,
     /// Monotonic catalog version: bumped on DDL and bulk loads, consumed
     /// by the plan cache to invalidate entries compiled against an older
     /// catalog (a new index — or new data making an index incomplete —
@@ -71,32 +69,26 @@ impl Database {
         options: TableOptions,
     ) -> &mut Table {
         let key = (namespace.to_string(), dataset.to_string());
-        self.tables.insert(
-            key.clone(),
-            Arc::new(Table::new(format!("{namespace}.{dataset}"), options)),
-        );
+        let table = Table::new(format!("{namespace}.{dataset}"), options);
         self.version += 1;
-        Arc::make_mut(self.tables.get_mut(&key).unwrap())
+        self.tables.entry(key).insert_entry(table).into_mut()
     }
 
     /// Look a dataset up.
     pub fn dataset(&self, namespace: &str, dataset: &str) -> Result<&Table> {
         self.tables
             .get(&(namespace.to_string(), dataset.to_string()))
-            .map(Arc::as_ref)
             .ok_or_else(|| EngineError::UnknownDataset {
                 namespace: namespace.to_string(),
                 dataset: dataset.to_string(),
             })
     }
 
-    /// Mutable dataset lookup. Copy-on-write: when a published snapshot
-    /// still shares the table, this clones it first (`Arc::make_mut`) so
-    /// readers pinning the snapshot are never disturbed.
+    /// Mutable dataset lookup. Writes through it copy only the heap
+    /// chunks and index paths a published snapshot still shares.
     pub fn dataset_mut(&mut self, namespace: &str, dataset: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(&(namespace.to_string(), dataset.to_string()))
-            .map(Arc::make_mut)
             .ok_or_else(|| EngineError::UnknownDataset {
                 namespace: namespace.to_string(),
                 dataset: dataset.to_string(),
@@ -116,7 +108,7 @@ impl Database {
     /// against the fresh statistics.
     pub fn rebuild_stats(&mut self) {
         for table in self.tables.values_mut() {
-            Arc::make_mut(table).rebuild_stats();
+            table.rebuild_stats();
         }
         self.version += 1;
     }

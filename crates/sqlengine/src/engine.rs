@@ -714,6 +714,7 @@ impl DurableState for Database {
 mod tests {
     use super::*;
     use polyframe_datamodel::record;
+    use polyframe_storage::{Direction, RecordId, ScanRange};
 
     fn users_engine(config: EngineConfig) -> Engine {
         let engine = Engine::new(config);
@@ -841,5 +842,53 @@ mod tests {
     fn unknown_dataset_error() {
         let e = Engine::new(EngineConfig::postgres());
         assert!(e.query("SELECT * FROM nothing").is_err());
+    }
+
+    fn index_entries(db: &Database, direction: Direction) -> Vec<(Value, RecordId)> {
+        db.dataset("Test", "T")
+            .unwrap()
+            .index_on("k")
+            .unwrap()
+            .scan(&ScanRange::all(), direction)
+            .map(|(k, rid)| (k.clone(), rid))
+            .collect()
+    }
+
+    #[test]
+    fn pinned_snapshot_survives_chunk_and_root_splits() {
+        use polyframe_storage::chunked::CHUNK_LEN;
+        let media = LogMedia::new();
+        let e = Engine::new(EngineConfig::postgres());
+        e.enable_durability(Arc::clone(&media), CheckpointPolicy::every(16))
+            .unwrap();
+        e.create_dataset("Test", "T", Some("id")).unwrap();
+        e.create_index("Test", "T", "k").unwrap();
+        let row = |i: i64| record! {"id" => i, "k" => i % 7, "s" => format!("s{i}")};
+        e.load("Test", "T", (0..20).map(row)).unwrap();
+        let pinned = e.cell.pin().unwrap();
+        let ops = pinned.snapshot_ops();
+        let (fwd, bwd) = (
+            index_entries(&pinned, Direction::Forward),
+            index_entries(&pinned, Direction::Backward),
+        );
+        for i in 20..(CHUNK_LEN as i64 + 40) {
+            e.load("Test", "T", vec![row(i)]).unwrap();
+        }
+        let now = e.cell.snapshot();
+        let table = now.dataset("Test", "T").unwrap();
+        assert!(table.heap().num_slots() > CHUNK_LEN);
+        // A B+tree leaf holds at most 32 entries: past that the root split.
+        assert!(fwd.len() <= 32 && table.index_on("k").unwrap().len() > 32);
+        // The pinned snapshot is untouched.
+        assert_eq!(pinned.snapshot_ops(), ops);
+        assert_eq!(index_entries(&pinned, Direction::Forward), fwd);
+        assert_eq!(index_entries(&pinned, Direction::Backward), bwd);
+        assert_eq!(pinned.dataset("Test", "T").unwrap().len(), 20);
+        // The live state is what a fresh replay of the log rebuilds.
+        let replay = Engine::new(EngineConfig::postgres());
+        replay
+            .enable_durability(media, CheckpointPolicy::every(16))
+            .unwrap();
+        assert_eq!(replay.durable_snapshot(), e.durable_snapshot());
     }
 }

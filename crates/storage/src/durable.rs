@@ -34,7 +34,11 @@ use std::sync::Arc;
 /// The state-specific hooks a store plugs into a [`DurableCell`].
 ///
 /// `Clone` is the snapshot publication: the cell clones the master
-/// after every committed write.
+/// after every committed write, so it must cost O(delta), not O(state).
+/// Per-row data belongs in structures whose clones share it —
+/// [`crate::ChunkedVec`], [`crate::BPlusTree`], [`crate::Table`] — so a
+/// clone copies only spines and roots, and the next write copies only
+/// the chunk and tree paths it touches.
 pub trait DurableState: Clone + Send + Sync {
     /// The store's error type.
     type Error: From<DurableError> + fmt::Display;

@@ -1,5 +1,6 @@
 //! Append-only table heap.
 
+use crate::chunked::ChunkedVec;
 use polyframe_datamodel::Record;
 
 /// Physical address of a record inside a [`TableHeap`].
@@ -19,10 +20,12 @@ impl RecordId {
 /// An append-only heap of records.
 ///
 /// Deletions are tombstoned (`None` slots) so `RecordId`s stay stable —
-/// secondary indexes hold `RecordId`s and must never dangle.
+/// secondary indexes hold `RecordId`s and must never dangle. Slots live in
+/// a [`ChunkedVec`], so `Clone` shares every sealed chunk and a write
+/// after a clone copies only the chunk it touches.
 #[derive(Debug, Default, Clone)]
 pub struct TableHeap {
-    slots: Vec<Option<Record>>,
+    slots: ChunkedVec<Option<Record>>,
     live: usize,
 }
 
@@ -35,7 +38,7 @@ impl TableHeap {
     /// Create an empty heap pre-sized for `n` records.
     pub fn with_capacity(n: usize) -> TableHeap {
         TableHeap {
-            slots: Vec::with_capacity(n),
+            slots: ChunkedVec::with_capacity(n),
             live: 0,
         }
     }
@@ -55,8 +58,7 @@ impl TableHeap {
 
     /// Tombstone a record; returns the removed record.
     pub fn delete(&mut self, rid: RecordId) -> Option<Record> {
-        let slot = self.slots.get_mut(rid.as_usize())?;
-        let removed = slot.take();
+        let removed = self.slots.get_mut(rid.as_usize())?.take();
         if removed.is_some() {
             self.live -= 1;
         }
@@ -93,10 +95,9 @@ impl TableHeap {
     /// range order yields exactly `scan()` — the property morsel-parallel
     /// scans rely on for determinism.
     pub fn scan_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = (RecordId, &Record)> {
-        let hi = hi.min(self.slots.len());
-        let lo = lo.min(hi);
-        self.slots[lo..hi]
-            .iter()
+        let lo = lo.min(hi).min(self.slots.len());
+        self.slots
+            .range(lo, hi)
             .enumerate()
             .filter_map(move |(i, s)| s.as_ref().map(move |r| (RecordId((lo + i) as u64), r)))
     }
@@ -157,6 +158,25 @@ mod tests {
         // Out-of-range bounds clamp instead of panicking.
         assert_eq!(heap.scan_range(8, 99).count(), 2);
         assert_eq!(heap.scan_range(99, 4).count(), 0);
+    }
+
+    #[test]
+    fn clone_is_isolated_from_later_writes() {
+        let mut heap = TableHeap::new();
+        for i in 0..200i64 {
+            heap.insert(record! {"x" => i});
+        }
+        let pinned = heap.clone();
+        let before: Vec<Record> = pinned.scan().map(|(_, r)| r.clone()).collect();
+        heap.insert(record! {"x" => 200i64});
+        heap.delete(RecordId(5));
+        heap.delete(RecordId(199));
+        let after: Vec<Record> = pinned.scan().map(|(_, r)| r.clone()).collect();
+        assert_eq!(after, before);
+        assert_eq!(pinned.len(), 200);
+        assert_eq!(heap.len(), 199);
+        assert!(pinned.get(RecordId(5)).is_some());
+        assert!(heap.get(RecordId(5)).is_none());
     }
 
     #[test]

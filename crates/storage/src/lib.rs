@@ -11,6 +11,10 @@
 //!   backward range scans and first/last (min/max) navigation. This is the
 //!   index structure behind the paper's analysis: index-only scans, backward
 //!   index scans and nulls-in-index behaviour all live here.
+//!   Nodes are `Arc`-shared and updates path-copy, so a clone is O(1).
+//! * [`chunked`] — [`chunked::ChunkedVec`], a vector of `Arc`-shared
+//!   fixed-size chunks whose clones share every chunk they have not
+//!   written to: the storage of the table heap and the graph store.
 //! * [`heap`] — an append-only table heap addressed by [`heap::RecordId`].
 //! * [`index`] — named secondary/primary indexes over a heap, with a
 //!   configurable [`index::NullPolicy`] (PostgreSQL stores `NULL` keys in
@@ -30,7 +34,10 @@
 //!   truncation, and deterministic crash/torn-write fault injection.
 
 pub mod batch;
+#[deny(clippy::unwrap_used)]
 pub mod btree;
+#[deny(clippy::unwrap_used)]
+pub mod chunked;
 #[deny(clippy::unwrap_used)]
 pub mod codec;
 #[deny(clippy::unwrap_used)]
@@ -46,6 +53,7 @@ pub use batch::{
     Column, ColumnBatch, ColumnSummary, Presence, DEFAULT_BATCH_ROWS, DICT_CAP, MAX_BATCH_ROWS,
 };
 pub use btree::{BPlusTree, Direction, KeyBound, ScanRange};
+pub use chunked::ChunkedVec;
 pub use durable::{DurableCell, DurableError, DurableState};
 pub use heap::{RecordId, TableHeap};
 pub use index::{Index, IndexKind, NullPolicy};

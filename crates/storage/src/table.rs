@@ -91,12 +91,11 @@ impl Table {
     pub fn insert(&mut self, record: Record) -> RecordId {
         self.stats.observe(&record);
         let rid = self.heap.insert(record);
+        // The heap and the indexes are disjoint fields: read the stored
+        // record while updating the indexes, no copy needed.
         let record = self.heap.get(rid).expect("just inserted");
-        // Indexes must be updated after the heap insert so they can reference
-        // the stored record. Split borrows via index-by-position.
-        let record = record.clone();
         for idx in &mut self.indexes {
-            idx.insert_record(rid, &record);
+            idx.insert_record(rid, record);
         }
         rid
     }

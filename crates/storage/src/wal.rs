@@ -269,8 +269,8 @@ impl LogMedia {
         self.inner.lock().log.extend_from_slice(bytes);
     }
 
-    fn stage_snapshot(&self, bytes: &[u8], upto: usize) {
-        self.inner.lock().staged = Some(bytes[..upto.min(bytes.len())].to_vec());
+    fn stage_snapshot(&self, bytes: Vec<u8>) {
+        self.inner.lock().staged = Some(bytes);
     }
 
     fn commit_staged_snapshot(&self) {
@@ -540,9 +540,9 @@ impl Wal {
         // committed snapshot and the log are intact, so recovery replays
         // the full log as if this checkpoint never started.
         self.fault_at("checkpoint", &framed, |bytes, cut| {
-            self.media.stage_snapshot(bytes, cut);
+            self.media.stage_snapshot(bytes[..cut].to_vec());
         })?;
-        self.media.stage_snapshot(&framed, framed.len());
+        self.media.stage_snapshot(framed);
         self.media.commit_staged_snapshot();
         // A crash here leaves snapshot installed + log untouched;
         // recovery skips log frames with lsn < covered_lsn.

@@ -142,3 +142,90 @@ fn inserts_then_removes_leave_survivors() {
         );
     }
 }
+
+/// The scan of `tree` in both directions, checked against `model`
+/// (already sorted), plus `first`/`last`/`len`.
+fn assert_matches_model(tree: &BPlusTree, model: &[(i64, u64)], what: &str) {
+    let fwd: Vec<(i64, u64)> = tree
+        .scan(&ScanRange::all(), Direction::Forward)
+        .map(|(k, p)| (k.as_i64().unwrap(), p))
+        .collect();
+    assert_eq!(fwd, model, "{what}: forward scan");
+    let mut bwd: Vec<(i64, u64)> = tree
+        .scan(&ScanRange::all(), Direction::Backward)
+        .map(|(k, p)| (k.as_i64().unwrap(), p))
+        .collect();
+    bwd.reverse();
+    assert_eq!(bwd, model, "{what}: backward scan");
+    assert_eq!(tree.len(), model.len(), "{what}: len");
+    let first = tree.first().map(|(k, p)| (k.as_i64().unwrap(), p));
+    let last = tree.last().map(|(k, p)| (k.as_i64().unwrap(), p));
+    assert_eq!(first, model.first().copied(), "{what}: first");
+    assert_eq!(last, model.last().copied(), "{what}: last");
+}
+
+#[test]
+fn retained_clones_keep_their_own_contents() {
+    let mut rng = Rng::seed_from_u64(0xB5);
+    for case in 0..CASES {
+        let mut tree = BPlusTree::new();
+        let mut model: Vec<(i64, u64)> = Vec::new();
+        let mut retained: Vec<(BPlusTree, Vec<(i64, u64)>)> = Vec::new();
+        let steps = 200 + rng.gen_range_usize(1200);
+        for step in 0..steps {
+            if !model.is_empty() && rng.gen_range_usize(3) == 0 {
+                let victim = model.remove(rng.gen_range_usize(model.len()));
+                assert!(tree.remove(&Value::Int(victim.0), victim.1));
+            } else {
+                let key = rng.gen_range_i64(-200, 200);
+                let pos = model.partition_point(|e| {
+                    cmp_total(&Value::Int(e.0), &Value::Int(key))
+                        .then(e.1.cmp(&(step as u64)))
+                        .is_lt()
+                });
+                model.insert(pos, (key, step as u64));
+                tree.insert(Value::Int(key), step as u64);
+            }
+            if rng.gen_range_usize(40) == 0 {
+                retained.push((tree.clone(), model.clone()));
+            }
+        }
+        for (i, (clone, clone_model)) in retained.iter().enumerate() {
+            assert_matches_model(clone, clone_model, &format!("case {case}, clone {i}"));
+        }
+        assert_matches_model(&tree, &model, &format!("case {case}, original"));
+    }
+}
+
+#[test]
+fn clones_mutated_independently_do_not_interfere() {
+    let mut rng = Rng::seed_from_u64(0xB6);
+    for case in 0..CASES {
+        let keys = gen_keys(&mut rng, 600);
+        let mut a = BPlusTree::new();
+        let mut model_a: Vec<(i64, u64)> = Vec::new();
+        for (i, k) in keys.iter().enumerate() {
+            a.insert(Value::Int(*k), i as u64);
+            model_a.push((*k, i as u64));
+        }
+        let mut b = a.clone();
+        let mut model_b = model_a.clone();
+        // Both sides now write: `a` removes every other entry it holds,
+        // `b` inserts fresh keys.
+        let removed: Vec<(i64, u64)> = model_a.iter().copied().step_by(2).collect();
+        for (k, p) in &removed {
+            assert!(a.remove(&Value::Int(*k), *p));
+        }
+        model_a.retain(|e| !removed.contains(e));
+        for j in 0..rng.gen_range_usize(300) {
+            let k = rng.gen_range_i64(-80, 80);
+            let p = 10_000 + j as u64;
+            b.insert(Value::Int(k), p);
+            model_b.push((k, p));
+        }
+        model_sort(&mut model_a);
+        model_sort(&mut model_b);
+        assert_matches_model(&a, &model_a, &format!("case {case}, a"));
+        assert_matches_model(&b, &model_b, &format!("case {case}, b"));
+    }
+}
